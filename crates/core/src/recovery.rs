@@ -519,25 +519,22 @@ fn redo_content(
         return Ok(());
     };
     let state = BlobState::decode(&encoded)?;
-    let page = db.geo.page_size() as u64;
-    let mut ext_base = 0u64;
-    for spec in state.extent_specs(&db.table) {
-        let ext_bytes = spec.pages * page;
-        let ext_end = ext_base + ext_bytes;
-        let lo = byte_offset.max(ext_base);
-        let hi = (byte_offset + data.len() as u64).min(ext_end);
-        if lo < hi {
-            let slice = &data[(lo - byte_offset) as usize..(hi - byte_offset) as usize];
-            db.blob_pool
-                .write_range(spec, (lo - ext_base) as usize, slice, true)?;
-            // Recovery flushes everything at the end; unpin so the final
-            // flush-all can clean these extents.
-            db.blob_pool.unpin_extent(spec);
-        }
-        ext_base = ext_end;
-        if ext_base >= byte_offset + data.len() as u64 {
-            break;
-        }
+    if state.is_inline() {
+        return Ok(()); // the Blob State record already carries the content
+    }
+    let pieces = state.pieces(
+        &db.table,
+        db.geo.page_size(),
+        byte_offset,
+        data.len() as u64,
+    )?;
+    for p in pieces.iter() {
+        let at = (p.blob_off - byte_offset) as usize;
+        db.blob_pool
+            .write_range(p.spec, p.ext_off, &data[at..at + p.len], true)?;
+        // Recovery flushes everything at the end; unpin so the final
+        // flush-all can clean these extents.
+        db.blob_pool.unpin_extent(p.spec);
     }
     Ok(())
 }
@@ -545,7 +542,7 @@ fn redo_content(
 /// Check a committed Blob State's content hash by streaming the extents
 /// from the device.
 pub(crate) fn validate_blob(db: &Database, state: &BlobState) -> Result<bool> {
-    if state.extents.is_empty() && state.tail.is_none() {
+    if state.is_inline() {
         // Inline blob (§III-B): the content is the prefix itself; an
         // inline state is durable iff its WAL record is, so this always
         // holds — checked anyway for scrub and for defence in depth.

@@ -674,31 +674,47 @@ fn recovery_detects_lost_blob_content_via_sha() {
 
 #[test]
 fn recovery_applies_deltas_and_appends() {
-    let dev = Arc::new(MemDevice::new(128 << 20));
-    let wal = Arc::new(MemDevice::new(32 << 20));
-    let mut data = pattern(50_000, 111);
-    {
-        let mut cfg = small_cfg();
-        cfg.update_policy = UpdatePolicy::AlwaysDelta;
-        let db = Database::create(dev.clone(), wal.clone(), cfg).unwrap();
-        let rel = db.create_relation("b", RelationKind::Blob).unwrap();
-        put(&db, &rel, b"k", &data);
-        db.checkpoint().unwrap();
+    // Physical logging replays the BlobDelta records on recovery; the
+    // second update straddles the first extent boundary (4 KiB), so its
+    // redo crosses extents.
+    for logging in [
+        BlobLogging::Async,
+        BlobLogging::Physical { segment: 16 * 1024 },
+    ] {
+        let cfg = Config {
+            blob_logging: logging,
+            ..small_cfg()
+        };
+        let dev = Arc::new(MemDevice::new(128 << 20));
+        let wal = Arc::new(MemDevice::new(32 << 20));
+        let mut data = pattern(50_000, 111);
+        {
+            let mut cfg = cfg.clone();
+            cfg.update_policy = UpdatePolicy::AlwaysDelta;
+            let db = Database::create(dev.clone(), wal.clone(), cfg).unwrap();
+            let rel = db.create_relation("b", RelationKind::Blob).unwrap();
+            put(&db, &rel, b"k", &data);
+            db.checkpoint().unwrap();
 
-        let mut t = db.begin();
-        t.update_blob(&rel, b"k", 1000, &[0xEEu8; 3000]).unwrap();
-        t.commit().unwrap();
-        let extra = pattern(20_000, 112);
-        let mut t = db.begin();
-        t.append_blob(&rel, b"k", &extra).unwrap();
-        t.commit().unwrap();
-        data[1000..4000].fill(0xEE);
-        data.extend_from_slice(&extra);
-        std::mem::forget(db); // crash without checkpoint
+            let mut t = db.begin();
+            t.update_blob(&rel, b"k", 1000, &[0xEEu8; 3000]).unwrap();
+            t.commit().unwrap();
+            let mut t = db.begin();
+            t.update_blob(&rel, b"k", 3500, &[0xDDu8; 6000]).unwrap();
+            t.commit().unwrap();
+            let extra = pattern(20_000, 112);
+            let mut t = db.begin();
+            t.append_blob(&rel, b"k", &extra).unwrap();
+            t.commit().unwrap();
+            data[1000..4000].fill(0xEE);
+            data[3500..9500].fill(0xDD);
+            data.extend_from_slice(&extra);
+            std::mem::forget(db); // crash without checkpoint
+        }
+        let (db, _) = reopen(dev, wal, cfg);
+        let rel = db.relation("b").unwrap();
+        assert_eq!(get(&db, &rel, b"k"), data, "{logging:?}");
     }
-    let (db, _) = reopen(dev, wal, small_cfg());
-    let rel = db.relation("b").unwrap();
-    assert_eq!(get(&db, &rel, b"k"), data);
 }
 
 #[test]
@@ -1464,6 +1480,16 @@ fn inline_blob_lifecycle_appends_updates_truncates() {
     t.commit().unwrap();
     oracle.truncate(20);
     assert_eq!(get(&db, &rel, b"k"), oracle);
+
+    // Regrowing that extent-backed small blob, first within the bound and
+    // then past it, must write every appended byte into its extent.
+    for extra in [pattern(5, 30), pattern(100, 31)] {
+        let mut t = db.begin();
+        t.append_blob(&rel, b"k", &extra).unwrap();
+        t.commit().unwrap();
+        oracle.extend_from_slice(&extra);
+        assert_eq!(get(&db, &rel, b"k"), oracle);
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! success *and* on mid-stream sink errors), and pin-gate admission.
 
 use lobster_buffer::PinGate;
-use lobster_core::{Config, Database, RelationKind};
+use lobster_core::{Config, Database, RelationKind, TierPolicy};
 use lobster_storage::MemDevice;
 use lobster_types::Error;
 use std::sync::Arc;
@@ -61,7 +61,20 @@ fn stream_collect(
 
 #[test]
 fn stream_matches_range_read_across_sizes_and_chunks() {
-    let db = mem_db(small_cfg());
+    // The default paper tiers, and Fibonacci tiers with tail extents (a
+    // different extent layout under the same byte ranges).
+    let tailed = Config {
+        use_tail_extents: true,
+        tier_policy: TierPolicy::Fibonacci,
+        ..small_cfg()
+    };
+    for cfg in [small_cfg(), tailed] {
+        stream_matches_range_read(cfg);
+    }
+}
+
+fn stream_matches_range_read(cfg: Config) {
+    let db = mem_db(cfg);
     let rel = db.create_relation("blobs", RelationKind::Blob).unwrap();
     // Inline-only (≤ 32-byte prefix), sub-page, single-extent,
     // multi-extent, and a boundary-straddling odd size.

@@ -13,7 +13,8 @@
 //!   only legal inside the allowlisted RAII wrapper modules.
 //! * **no-panic-in-request-path** — `unwrap`/`expect`/`panic!` family
 //!   (and, on the serving path, slice indexing) are denied in the
-//!   request handlers and the three I/O choke points.
+//!   request handlers, the three I/O choke points and the Blob State
+//!   extent cursor.
 //! * **lock-order** — nested lock acquisitions (plus a one-level call
 //!   graph) form an acquisition-order graph; cycles are reported with
 //!   the full offending chain — the static complement to the runtime

@@ -1,7 +1,8 @@
 //! **no-panic-in-request-path**: `unwrap`/`expect` and the panic macro
-//! family are denied in the serve request handlers and the three I/O
+//! family are denied in the serve request handlers, the three I/O
 //! choke points (buffer-pool faulting, WAL writer, group-commit flush
-//! stage). On the serving path, slice/array indexing is denied too: a
+//! stage) and the Blob State extent cursor every read path maps byte
+//! ranges through. On the serving path, slice/array indexing is denied too: a
 //! malformed frame must become an error response, not a worker panic
 //! that takes a connection's leases down the unwind path.
 //!
