@@ -208,10 +208,12 @@ proptest! {
     /// Scanning the Blob State index visits rows in exact content order,
     /// for arbitrary content sets straddling every comparator step (shared
     /// 32-byte prefixes force the incremental extent walk; nested prefixes
-    /// force the size tiebreak).
+    /// force the size tiebreak; an inline 32-byte stem ties its family's
+    /// embedded prefix while having no extents at all).
     #[test]
     fn index_scan_is_content_order(
-        shapes in proptest::collection::vec((0usize..4, 1usize..20_000), 2..24)
+        shapes in proptest::collection::vec((0usize..4, 1usize..20_000), 2..24),
+        stem_mask in 0usize..16
     ) {
         let db = Database::create(
             Arc::new(MemDevice::new(256 << 20)),
@@ -230,6 +232,11 @@ proptest! {
             c.extend_from_slice(&body(*family as u8, *len));
             c.extend_from_slice(&(i as u32).to_be_bytes()); // force distinct
             contents.push(c);
+        }
+        // Exactly-PREFIX_LEN stems: stored inline, strict prefixes of
+        // every member of their family.
+        for family in (0..4u8).filter(|f| stem_mask >> f & 1 == 1) {
+            contents.push(vec![family; 32]);
         }
 
         let mut t = db.begin();
