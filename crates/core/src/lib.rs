@@ -61,7 +61,7 @@ pub use defrag::{
     defrag_pass, scrub_pass, DefragConfig, DefragPassReport, Defragmenter, ScrubCursor,
 };
 pub use index::{BlobIndex, BlobStateCmp, ExpressionIndex, Udf};
-pub use lock::{LockManager, LockMode};
+pub use lock::{LockManager, LockMode, ShardMask};
 pub use recovery::RecoveryReport;
 pub use shard::{ShardDevices, ShardedDatabase, ShardedRelation, ShardedTxn, MAX_SHARDS};
 pub use txn::Txn;

@@ -18,7 +18,7 @@
 use crate::blob_state::{BlobState, Piece, Pieces, PREFIX_LEN};
 use crate::catalog::{Relation, RelationKind};
 use crate::db::{BlobLogging, Database, UpdatePolicy};
-use crate::lock::LockMode;
+use crate::lock::{LockMode, ShardMask};
 use lobster_buffer::FlushItem;
 use lobster_extent::{plan_growth, plan_sequence, ExtentSpec, SequencePlan};
 use lobster_sha256::Sha256;
@@ -73,6 +73,9 @@ pub struct Txn {
     /// (`StageCtx::retire`). Distinct from `freed`, whose extents carry
     /// no fence and may be recycled by any later allocation.
     refenced: Vec<ExtentSpec>,
+    /// Lock-table shards this transaction has locked in; commit and
+    /// rollback release only these.
+    locked: ShardMask,
     state: TxnState,
 }
 
@@ -88,6 +91,7 @@ impl Txn {
             allocated: Vec::new(),
             freed: Vec::new(),
             refenced: Vec::new(),
+            locked: 0,
             state: TxnState::Active,
         }
     }
@@ -108,8 +112,10 @@ impl Txn {
         }
     }
 
-    fn lock(&self, rel: &Relation, key: &[u8], mode: LockMode) -> Result<()> {
-        self.db.locks.lock(self.id, rel.id, key, mode)
+    fn lock(&mut self, rel: &Relation, key: &[u8], mode: LockMode) -> Result<()> {
+        self.db
+            .locks
+            .lock(self.id, &mut self.locked, rel.id, key, mode)
     }
 
     // ------------------------------------------------------ kv rows -----
@@ -461,7 +467,11 @@ impl Txn {
     /// Stream `len` bytes starting at `offset` to `sink` in `chunk`-sized
     /// pieces read straight out of the buffer pool (the serving path's
     /// zero-copy range read). Returns the bytes streamed (clamped at the
-    /// BLOB size).
+    /// BLOB size). Every `sink` call gets that clamped total alongside its
+    /// chunk, so a caller can frame the response from the first chunk
+    /// without a separate Blob State lookup; a missing key is
+    /// `Error::KeyNotFound` and an empty range returns `Ok(0)` without
+    /// calling `sink`.
     ///
     /// Every extent intersecting the range is held under a *streaming
     /// lease* (`prevent_evict` pin — see `ExtentPool::lease_extent`) for
@@ -484,7 +494,7 @@ impl Txn {
         len: u64,
         chunk: usize,
         gate: Option<(&lobster_buffer::PinGate, std::time::Duration)>,
-        sink: &mut dyn FnMut(&[u8]) -> Result<()>,
+        sink: &mut dyn FnMut(u64, &[u8]) -> Result<()>,
     ) -> Result<u64> {
         self.check_active()?;
         self.lock(rel, key, LockMode::Shared)?;
@@ -497,7 +507,7 @@ impl Txn {
         // Inline-prefix fast path: the whole range lives in the Blob
         // State — one sink call, zero content I/O, zero leases.
         if offset as usize + n as usize <= PREFIX_LEN {
-            sink(&state.prefix[offset as usize..(offset + n) as usize])?;
+            sink(n, &state.prefix[offset as usize..(offset + n) as usize])?;
             return Ok(n);
         }
 
@@ -549,7 +559,7 @@ impl Txn {
                 let take = chunk.min(p.len - at);
                 self.db
                     .blob_pool
-                    .read_chunk(p.spec, p.ext_off + at, take, |b| sink(b))??;
+                    .read_chunk(p.spec, p.ext_off + at, take, |b| sink(n, b))??;
             }
         }
         Ok(n)
@@ -1231,7 +1241,7 @@ impl Txn {
                 db.committer.wait_for(epoch)?;
             }
         }
-        db.locks.release_all(self.id);
+        db.locks.release(self.id, self.locked);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         db.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
         self.state = TxnState::Committed;
@@ -1282,7 +1292,7 @@ impl Txn {
             freed: std::mem::take(&mut self.freed),
             refenced: std::mem::take(&mut self.refenced),
         })?;
-        db.locks.release_all(self.id);
+        db.locks.release(self.id, self.locked);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         db.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
         self.state = TxnState::Committed;
@@ -1339,7 +1349,7 @@ impl Txn {
             // useful for log analytics.
             let _ = db.wal.append_batch(&[LogRecord::TxnAbort { txn: self.id }]);
         }
-        db.locks.release_all(self.id);
+        db.locks.release(self.id, self.locked);
         // ordering: relaxed metrics counter; snapshot readers tolerate staleness
         db.metrics.txn_aborts.fetch_add(1, Ordering::Relaxed);
     }

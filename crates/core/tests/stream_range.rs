@@ -48,14 +48,18 @@ fn stream_collect(
     let mut t = db.begin();
     let mut out = Vec::new();
     let mut calls = 0usize;
+    let mut totals = Vec::new();
     let n = t
-        .stream_blob_range(rel, key, offset, len, chunk, gate, &mut |b| {
+        .stream_blob_range(rel, key, offset, len, chunk, gate, &mut |total, b| {
             calls += 1;
+            totals.push(total);
             out.extend_from_slice(b);
             Ok(())
         })
         .unwrap();
     t.commit().unwrap();
+    // Every chunk carries the response length the stream returns.
+    assert!(totals.iter().all(|&total| total == n), "{totals:?} vs {n}");
     (n, out, calls)
 }
 
@@ -92,6 +96,8 @@ fn stream_matches_range_read(cfg: Config) {
             (size as u64 / 2, size as u64), // clamped at EOF
             (size as u64 - 1, 5),
             (size as u64 + 10, 4), // past EOF → 0 bytes
+            (size as u64, 10),     // at EOF → 0 bytes
+            (0, 0),                // empty range → 0 bytes
         ] {
             for chunk in [1usize, 100, 4096, 1 << 20] {
                 let (n, streamed, calls) =
@@ -117,6 +123,15 @@ fn stream_matches_range_read(cfg: Config) {
             }
         }
     }
+    // A missing key is the stream's own KeyNotFound, with no sink call.
+    let mut t = db.begin();
+    let err = t
+        .stream_blob_range(&rel, b"missing", 0, 10, 4096, None, &mut |_, _| {
+            panic!("sink called for a missing key")
+        })
+        .unwrap_err();
+    assert!(matches!(err, Error::KeyNotFound), "got {err:?}");
+    t.commit().unwrap();
     // All leases must be gone after the streams.
     db.blob_pool().audit().assert_no_leaked_pins();
 }
@@ -162,7 +177,7 @@ fn sink_error_releases_leases_and_gate_budget() {
             u64::MAX,
             4096,
             Some((&gate, Duration::from_millis(100))),
-            &mut |_| {
+            &mut |_, _| {
                 calls += 1;
                 if calls >= 3 {
                     // Simulated client disconnect mid-stream.
@@ -206,7 +221,7 @@ fn exhausted_gate_rejects_with_buffer_full() {
             u64::MAX,
             4096,
             Some((&gate, Duration::from_millis(20))),
-            &mut |_| {
+            &mut |_, _| {
                 calls += 1;
                 Ok(())
             },
@@ -242,7 +257,7 @@ fn sharded_stream_routes_and_matches() {
         let mut t = sdb.begin_with_worker(i as usize);
         let mut out = Vec::new();
         let n = t
-            .stream_blob_range(&rel, &key, 100, 30_000, 8192, None, &mut |b| {
+            .stream_blob_range(&rel, &key, 100, 30_000, 8192, None, &mut |_, b| {
                 out.extend_from_slice(b);
                 Ok(())
             })

@@ -131,6 +131,11 @@ impl LintConfig {
                     path: "crates/core/src/blob_state.rs".into(),
                     index: false,
                 },
+                // The lock manager: every request takes a key lock.
+                PanicScope {
+                    path: "crates/core/src/lock.rs".into(),
+                    index: false,
+                },
             ],
             guard_rules: vec![
                 GuardRule {

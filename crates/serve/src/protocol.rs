@@ -224,14 +224,19 @@ pub fn parse_request(body: &[u8]) -> Parsed {
     }
 }
 
-/// Write a response header (`status | u64 body_len`). Payload bytes, if
-/// any, follow via plain `write_all` calls.
-pub fn write_response_header(w: &mut impl Write, status: Status, body_len: u64) -> Result<()> {
+/// Encode a response header (`status | u64 body_len`).
+pub(crate) fn response_header(status: Status, body_len: u64) -> [u8; 9] {
     let mut hdr = [0u8; 9];
     let [status_byte, len_bytes @ ..] = &mut hdr;
     *status_byte = status as u8;
     *len_bytes = body_len.to_le_bytes();
-    w.write_all(&hdr).map_err(Error::Io)
+    hdr
+}
+
+/// Write a response header on its own (error statuses and empty bodies).
+pub fn write_response_header(w: &mut impl Write, status: Status, body_len: u64) -> Result<()> {
+    w.write_all(&response_header(status, body_len))
+        .map_err(Error::Io)
 }
 
 /// Blob metadata returned by STAT.

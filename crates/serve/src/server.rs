@@ -33,7 +33,8 @@
 //! slot on the error path (RAII in `Txn::stream_blob_range`).
 
 use crate::protocol::{
-    parse_request, write_response_header, Parsed, Request, Status, DEFAULT_MAX_FRAME,
+    parse_request, response_header, write_response_header, Parsed, Request, Status,
+    DEFAULT_MAX_FRAME,
 };
 use lobster_buffer::PinGate;
 use lobster_core::{ShardedDatabase, ShardedRelation};
@@ -41,7 +42,7 @@ use lobster_metrics::Metrics;
 use lobster_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use lobster_sync::{Arc, Condvar, Mutex};
 use lobster_types::{Error, Result};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -310,9 +311,78 @@ fn accept_loop(
     }
 }
 
+/// A session's receive buffer. Socket reads land straight in `buf`, and
+/// `buf[head..tail]` holds the bytes received but not yet consumed. A
+/// request frame is parsed where it lies and consumed by advancing
+/// `head`, so a request costs no copy and no allocation unless its frame
+/// outgrows the buffer.
+struct RecvBuf {
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl RecvBuf {
+    /// Steady-state size: a 4 KiB PUT or a run of pipelined GETs fits.
+    const BASE: usize = 16 << 10;
+
+    fn new() -> RecvBuf {
+        RecvBuf {
+            buf: vec![0; Self::BASE],
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    fn pending(&self) -> &[u8] {
+        self.buf.get(self.head..self.tail).unwrap_or_default()
+    }
+
+    /// Body of the `total`-byte frame (length prefix included) at the head.
+    fn body(&self, total: usize) -> &[u8] {
+        self.pending().get(4..total).unwrap_or_default()
+    }
+
+    /// Consume the `total`-byte frame at the head. An emptied buffer
+    /// rewinds, and one grown for a large frame shrinks back to `BASE`.
+    fn consume(&mut self, total: usize) {
+        self.head = (self.head + total).min(self.tail);
+        if self.head == self.tail {
+            self.head = 0;
+            self.tail = 0;
+            if self.buf.len() > Self::BASE {
+                self.buf.truncate(Self::BASE);
+                self.buf.shrink_to_fit();
+            }
+        }
+    }
+
+    /// One read from `r` into the free space. A full buffer first moves
+    /// its pending bytes to the front or, if they already start there,
+    /// grows: doubling, but never past the `need` bytes the frame at the
+    /// head occupies, so memory follows the bytes that arrive.
+    fn read_from(&mut self, r: &mut impl Read, need: usize) -> std::io::Result<usize> {
+        if self.tail == self.buf.len() {
+            if self.head > 0 {
+                self.buf.copy_within(self.head..self.tail, 0);
+                self.tail -= self.head;
+                self.head = 0;
+            } else {
+                let len = self.buf.len();
+                self.buf.resize(need.clamp(len + 1, 2 * len), 0);
+            }
+        }
+        let n = r.read(self.buf.get_mut(self.tail..).unwrap_or_default())?;
+        self.tail = (self.tail + n).min(self.buf.len());
+        Ok(n)
+    }
+}
+
 /// Result of waiting for one complete request frame.
 enum FrameRead {
-    Body(Vec<u8>),
+    /// A complete frame of this many bytes (length prefix included) sits
+    /// at the head of the session's [`RecvBuf`].
+    Frame(usize),
     /// Length prefix exceeds `max_frame`; the stream cannot be re-synced.
     TooLarge,
     /// Peer closed between frames.
@@ -323,23 +393,20 @@ enum FrameRead {
     Shutdown,
 }
 
-/// Accumulate bytes until `buf` holds one complete frame, popping and
-/// returning its body. Reads tick on a short timeout so the session
-/// notices the shutdown flag while idle.
-fn next_frame(stream: &mut TcpStream, buf: &mut Vec<u8>, shared: &Shared) -> FrameRead {
-    let mut tmp = [0u8; 16 << 10];
+/// Read until `recv` holds one complete frame at its head and return its
+/// length. Reads tick on a short timeout so the session notices the
+/// shutdown flag while idle.
+fn next_frame(stream: &mut TcpStream, recv: &mut RecvBuf, shared: &Shared) -> FrameRead {
     loop {
-        if let Some(len_bytes) = buf.first_chunk::<4>() {
+        let mut need = 4;
+        if let Some(len_bytes) = recv.pending().first_chunk::<4>() {
             let len = u32::from_le_bytes(*len_bytes);
             if len > shared.cfg.max_frame {
                 return FrameRead::TooLarge;
             }
-            let total = 4 + len as usize;
-            if buf.len() >= total {
-                let rest = buf.split_off(total);
-                let mut frame = std::mem::replace(buf, rest);
-                frame.drain(..4);
-                return FrameRead::Body(frame);
+            need = 4 + len as usize;
+            if recv.pending().len() >= need {
+                return FrameRead::Frame(need);
             }
         }
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -347,16 +414,15 @@ fn next_frame(stream: &mut TcpStream, buf: &mut Vec<u8>, shared: &Shared) -> Fra
             // served (handled above); partial frames are not.
             return FrameRead::Shutdown;
         }
-        match stream.read(&mut tmp) {
+        match recv.read_from(stream, need) {
             Ok(0) => {
-                return if buf.is_empty() {
+                return if recv.pending().is_empty() {
                     FrameRead::CleanEof
                 } else {
                     FrameRead::DirtyEof
                 };
             }
-            // lint-allow(no-panic-in-request-path): Read's contract caps n at tmp.len()
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -373,11 +439,13 @@ fn session(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let mut buf = Vec::new();
+    let mut recv = RecvBuf::new();
     loop {
-        match next_frame(&mut stream, &mut buf, shared) {
-            FrameRead::Body(body) => {
-                if !handle_request(&mut stream, &body, shared) {
+        match next_frame(&mut stream, &mut recv, shared) {
+            FrameRead::Frame(total) => {
+                let keep = handle_request(&mut stream, recv.body(total), shared);
+                recv.consume(total);
+                if !keep {
                     return;
                 }
             }
@@ -456,11 +524,11 @@ fn handle_request(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> bool 
             let _ = t.commit();
             match r {
                 Ok(Some(state)) => {
-                    let mut body = Vec::with_capacity(40);
-                    body.extend_from_slice(&state.size.to_le_bytes());
-                    body.extend_from_slice(&state.sha256);
-                    write_response_header(stream, Status::Ok, 40).is_ok()
-                        && stream.write_all(&body).is_ok()
+                    let mut body = [0u8; 40];
+                    let (size, sha) = body.split_at_mut(8);
+                    size.copy_from_slice(&state.size.to_le_bytes());
+                    sha.copy_from_slice(&state.sha256);
+                    write_head(stream, Status::Ok, 40, &body).is_ok()
                 }
                 Ok(None) => write_response_header(stream, Status::NotFound, 0).is_ok(),
                 Err(_) => write_response_header(stream, Status::ServerErr, 0).is_ok(),
@@ -500,9 +568,35 @@ fn do_put(shared: &Shared, w: usize, key: &[u8], value: &[u8]) -> Status {
     Status::Busy
 }
 
-/// Serve a get/get_range: resolve the Blob State (for the response
-/// length), then stream chunks straight out of the buffer pool under
-/// streaming leases. Returns `false` if the connection must close.
+/// Write a response header and the first body bytes in one `writev`
+/// (looping only on a short write), so a small response leaves as one
+/// segment on the `TCP_NODELAY` socket. `first` is sent as it is, never
+/// copied.
+fn write_head(
+    w: &mut impl Write,
+    status: Status,
+    body_len: u64,
+    first: &[u8],
+) -> std::io::Result<()> {
+    let hdr = response_header(status, body_len);
+    let mut slices = [IoSlice::new(&hdr), IoSlice::new(first)];
+    let mut rest: &mut [IoSlice] = &mut slices;
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Serve a get/get_range in one key lock and one Blob State lookup: the
+/// stream reports the clamped response length with every chunk, so the
+/// header goes out with the first chunk, straight from the buffer pool's
+/// frames under streaming leases. Returns `false` if the connection must
+/// close.
 fn do_stream(
     stream: &mut TcpStream,
     shared: &Shared,
@@ -512,40 +606,26 @@ fn do_stream(
     len: u64,
 ) -> bool {
     let mut t = shared.sdb.begin_with_worker(w);
-    // The Shared lock taken here pins the state for the stream below.
-    let n = match t.blob_state(&shared.rel, key) {
-        Ok(Some(state)) => len.min(state.size.saturating_sub(offset)),
-        Ok(None) => {
-            let _ = t.commit();
-            return write_response_header(stream, Status::NotFound, 0).is_ok();
-        }
-        Err(_) => {
-            let _ = t.commit();
-            return write_response_header(stream, Status::ServerErr, 0).is_ok();
-        }
-    };
-    if n == 0 {
-        let _ = t.commit();
-        return write_response_header(stream, Status::Ok, 0).is_ok();
-    }
-
-    // The header is written lazily from the first chunk's sink call, so a
-    // pin-gate rejection (which precedes any chunk) can still become a
-    // clean BUSY frame instead of a broken stream.
+    // The header is written lazily with the first chunk, so a missing key
+    // or a pin-gate rejection (both precede any chunk) still becomes a
+    // clean NOT_FOUND / BUSY frame instead of a broken stream. Once a
+    // write has been attempted the frame may be partly on the wire.
     let mut sent_header = false;
     let res = t.stream_blob_range(
         &shared.rel,
         key,
         offset,
-        n,
+        len,
         shared.cfg.chunk_bytes,
         Some((&shared.gate, shared.cfg.gate_timeout)),
-        &mut |chunk| {
-            if !sent_header {
-                write_response_header(stream, Status::Ok, n)?;
+        &mut |total, chunk| {
+            if sent_header {
+                stream.write_all(chunk)
+            } else {
                 sent_header = true;
+                write_head(stream, Status::Ok, total, chunk)
             }
-            stream.write_all(chunk).map_err(Error::Io)?;
+            .map_err(Error::Io)?;
             shared
                 .metrics
                 .serve_bytes_streamed
@@ -555,9 +635,11 @@ fn do_stream(
     );
     let _ = t.commit();
     match res {
-        Ok(streamed) => {
-            debug_assert_eq!(streamed, n);
-            true
+        Ok(_) if sent_header => true,
+        // Empty range (offset at or past the end, or len 0): no chunk.
+        Ok(_) => write_response_header(stream, Status::Ok, 0).is_ok(),
+        Err(Error::KeyNotFound) if !sent_header => {
+            write_response_header(stream, Status::NotFound, 0).is_ok()
         }
         Err(Error::BufferFull) if !sent_header => {
             // ordering: relaxed metrics counter; snapshot readers tolerate staleness
@@ -575,5 +657,93 @@ fn do_stream(
                 .fetch_add(1, Ordering::Relaxed); // ordering: relaxed metrics counter; snapshot readers tolerate staleness
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that accepts at most `cap` bytes per call, across slices.
+    struct Trickle {
+        cap: usize,
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.cap;
+            for b in bufs {
+                let take = room.min(b.len());
+                self.out.extend_from_slice(&b[..take]);
+                room -= take;
+            }
+            Ok(self.cap - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_head_emits_header_then_chunk_across_short_writes() {
+        let chunk: Vec<u8> = (0..40u8).collect();
+        for (cap, first) in [
+            (3, &chunk[..]),
+            (4, &chunk[..]),
+            (3, &[][..]),
+            (1 << 10, &chunk[..]),
+        ] {
+            let mut w = Trickle {
+                cap,
+                out: Vec::new(),
+                calls: 0,
+            };
+            write_head(&mut w, Status::Ok, 1234, first).unwrap();
+            let mut want = response_header(Status::Ok, 1234).to_vec();
+            want.extend_from_slice(first);
+            assert_eq!(w.out, want, "cap={cap}");
+            assert_eq!(w.calls, want.len().div_ceil(cap), "cap={cap}");
+        }
+    }
+
+    #[test]
+    fn recv_buf_parses_in_place_and_grows_only_for_large_frames() {
+        // Two pipelined frames, one larger than the base buffer.
+        let big = vec![7u8; RecvBuf::BASE * 3];
+        let mut wire = Vec::new();
+        for body in [&b"small"[..], &big[..]] {
+            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        let mut src = &wire[..];
+        let mut recv = RecvBuf::new();
+        let mut bodies = Vec::new();
+        while bodies.len() < 2 {
+            let pending = recv.pending();
+            let need = pending
+                .first_chunk::<4>()
+                .map_or(4, |l| 4 + u32::from_le_bytes(*l) as usize);
+            if pending.len() >= need {
+                bodies.push(recv.body(need).to_vec());
+                recv.consume(need);
+            } else {
+                assert!(recv.read_from(&mut src, need).unwrap() > 0);
+                assert!(recv.buf.len() <= need.max(RecvBuf::BASE));
+            }
+        }
+        assert_eq!(bodies, [b"small".to_vec(), big]);
+        // Fully consumed: rewound and shrunk back to the base size.
+        assert_eq!(
+            (recv.head, recv.tail, recv.buf.len()),
+            (0, 0, RecvBuf::BASE)
+        );
     }
 }

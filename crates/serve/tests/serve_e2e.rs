@@ -93,10 +93,12 @@ fn protocol_roundtrip_over_tcp() {
         let want = &data[3.min(size)..size.min(103)];
         assert_eq!(&r.body[..], want);
 
-        // Past-EOF range: OK with an empty body.
-        let r = c.get_range(&key, size as u64 + 5, 10).unwrap();
-        assert_eq!(r.status, Status::Ok);
-        assert!(r.body.is_empty());
+        // Past-EOF, at-EOF and zero-length ranges: OK with an empty body.
+        for (offset, len) in [(size as u64 + 5, 10), (size as u64, 10), (0, 0)] {
+            let r = c.get_range(&key, offset, len).unwrap();
+            assert_eq!(r.status, Status::Ok, "range {offset}+{len} of {size}");
+            assert!(r.body.is_empty(), "range {offset}+{len} of {size}");
+        }
 
         let st = c.stat(&key).unwrap();
         let st = st.stat().expect("stat body");
@@ -111,6 +113,20 @@ fn protocol_roundtrip_over_tcp() {
     // Upsert overwrites.
     assert_eq!(c.put(b"key0", b"replaced").unwrap(), Status::Ok);
     assert_eq!(c.get(b"key0").unwrap().body, b"replaced");
+
+    // A key deleted engine-side is NOT_FOUND on the wire, for GET,
+    // GET_RANGE and STAT alike, and the connection stays usable.
+    let rel = sdb.relation("blobs").unwrap();
+    let mut t = sdb.begin();
+    t.delete_blob(&rel, b"key1").unwrap();
+    t.commit().unwrap();
+    assert_eq!(c.get(b"key1").unwrap().status, Status::NotFound);
+    assert_eq!(
+        c.get_range(b"key1", 0, 10).unwrap().status,
+        Status::NotFound
+    );
+    assert_eq!(c.stat(b"key1").unwrap().status, Status::NotFound);
+    assert_eq!(c.get(b"key2").unwrap().status, Status::Ok);
 
     let m = sdb.metrics().snapshot();
     assert!(m.serve_requests > 0);
@@ -351,9 +367,23 @@ fn graceful_shutdown_quiesces_defragmenter() {
     }
     for i in (0..48u32).step_by(2) {
         let key = format!("frag-{i}").into_bytes();
-        let mut t = sdb.begin();
-        t.delete_blob(&srel, &key).unwrap();
-        t.commit().unwrap();
+        // The defragmenter may hold the key's relocation lock, and
+        // wait-die aborts the younger delete: retry on that conflict
+        // only, as any client would.
+        for attempt in 0.. {
+            let mut t = sdb.begin();
+            match t.delete_blob(&srel, &key) {
+                Ok(()) => {
+                    t.commit().unwrap();
+                    break;
+                }
+                Err(lobster_types::Error::TxnConflict) if attempt < 1000 => {
+                    t.abort();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("delete frag-{i} failed after {attempt} retries: {e}"),
+            }
+        }
     }
     for i in 0..24u32 {
         let key = format!("refill-{i}").into_bytes();

@@ -210,9 +210,6 @@ impl<D: Device> FaultDevice<D> {
         if !self.armed.load(Ordering::SeqCst) || op < self.cfg.warmup_ops {
             return None;
         }
-        if self.injected.load(Ordering::SeqCst) >= self.cfg.max_injections {
-            return None;
-        }
         let h = mix64(self.cfg.seed ^ op.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         if h % 1000 >= u64::from(self.cfg.per_mille) {
             return None;
@@ -228,7 +225,18 @@ impl<D: Device> FaultDevice<D> {
             return None;
         }
         let kind = eligible[((h / 1000) % eligible.len() as u64) as usize];
-        self.injected.fetch_add(1, Ordering::SeqCst);
+        // Reserve an injection slot atomically: concurrent ops (batched
+        // faults read on several I/O threads) must not both pass the cap.
+        let max = self.cfg.max_injections;
+        if self
+            .injected
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < max).then_some(n + 1)
+            })
+            .is_err()
+        {
+            return None;
+        }
         self.log.lock().push(Injection {
             op,
             kind,
@@ -395,6 +403,32 @@ mod tests {
         dev.read_at(&mut buf, 0).unwrap();
         assert_eq!(&buf[..50], &[3u8; 50]);
         assert_eq!(&buf[50..], &[0u8; 50], "tail must not reach the medium");
+    }
+
+    #[test]
+    fn injection_cap_holds_under_concurrent_reads() {
+        // Batched faults read on several I/O threads at once; the cap
+        // must still bound the injections exactly.
+        for _ in 0..20 {
+            let mut cfg = always(&[FaultKind::BitRotRead]);
+            cfg.max_injections = 1;
+            let dev = FaultDevice::new(MemDevice::new(8192), cfg);
+            dev.arm();
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        let mut buf = [0u8; 64];
+                        start.wait();
+                        for _ in 0..200 {
+                            dev.read_at(&mut buf, 0).unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(dev.injections(), 1);
+            assert_eq!(dev.injection_log().len(), 1);
+        }
     }
 
     #[test]
